@@ -61,6 +61,10 @@ class BBox : public LabelingScheme {
   Status InsertSubtreeBefore(Lid before, const xml::Document& subtree,
                              std::vector<NewElement>* lids_out) override;
   Status DeleteSubtree(Lid root_start, Lid root_end) override;
+  /// Batch ops sort by the leaf holding the anchor's record: B-BOX never
+  /// relabels, so the only batch win is block locality, and the back-link
+  /// pointer in the LIDF is exactly that block.
+  uint64_t BatchLocalityKey(const BatchOp& op) override;
   StatusOr<int> Compare(Lid a, Lid b) override;
   bool SupportsOrdinal() const override { return options_.ordinal; }
   StatusOr<uint64_t> OrdinalLookup(Lid lid) override;
@@ -83,12 +87,6 @@ class BBox : public LabelingScheme {
   /// Structural reorganization counters (for benches and tests).
   uint64_t split_count() const { return split_count_; }
   uint64_t merge_count() const { return merge_count_; }
-
- protected:
-  /// Batch ops sort by the leaf holding the anchor's record: B-BOX never
-  /// relabels, so the only batch win is block locality, and the back-link
-  /// pointer in the LIDF is exactly that block.
-  uint64_t BatchLocalityKey(const BatchOp& op) override;
 
  private:
   /// A (lid -> leaf page, slot) resolution.

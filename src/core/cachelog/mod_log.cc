@@ -48,10 +48,8 @@ ModificationLog::ReplayResult ModificationLog::Replay(uint64_t last_cached,
   if (!CoversSince(last_cached)) {
     return ReplayResult::kStale;
   }
-  for (const LogEntry& entry : entries_) {
-    if (entry.timestamp <= last_cached) {
-      continue;
-    }
+  for (auto it = FirstEntryAfter(last_cached); it != entries_.end(); ++it) {
+    const LogEntry& entry = *it;
     switch (entry.kind) {
       case LogEntry::Kind::kShift: {
         if (entry.lo <= *label && *label <= entry.hi) {
@@ -84,9 +82,9 @@ ModificationLog::ReplayResult ModificationLog::ReplayOrdinal(
   if (!CoversSince(last_cached)) {
     return ReplayResult::kStale;
   }
-  for (const LogEntry& entry : entries_) {
-    if (entry.timestamp <= last_cached ||
-        entry.kind != LogEntry::Kind::kOrdinalShift) {
+  for (auto it = FirstEntryAfter(last_cached); it != entries_.end(); ++it) {
+    const LogEntry& entry = *it;
+    if (entry.kind != LogEntry::Kind::kOrdinalShift) {
       continue;
     }
     if (*ordinal >= entry.ordinal_from) {

@@ -1,6 +1,8 @@
 #ifndef BOXES_CORE_CACHELOG_MOD_LOG_H_
 #define BOXES_CORE_CACHELOG_MOD_LOG_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 
@@ -108,6 +110,16 @@ class ModificationLog : public ReplayLog {
   bool CoversSince(uint64_t last_cached) const {
     // Entries (clock_ - entries_.size(), clock_] are present.
     return last_cached + entries_.size() >= clock_;
+  }
+
+  /// The first entry newer than `last_cached`, found by arithmetic: the
+  /// timestamps are contiguous, so with CoversSince(last_cached) it sits at
+  /// index last_cached + size - clock_.
+  std::deque<LogEntry>::const_iterator FirstEntryAfter(
+      uint64_t last_cached) const {
+    const uint64_t skip = std::min<uint64_t>(
+        last_cached + entries_.size() - clock_, entries_.size());
+    return entries_.begin() + static_cast<std::ptrdiff_t>(skip);
   }
 
   const size_t capacity_;

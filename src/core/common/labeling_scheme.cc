@@ -1,7 +1,5 @@
 #include "core/common/labeling_scheme.h"
 
-#include <algorithm>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -30,6 +28,33 @@ Status InsertTreeElementwise(LabelingScheme* scheme, const xml::Document& doc,
         InsertTreeElementwise(scheme, doc, child, lids->end, lids_out));
   }
   return Status::OK();
+}
+
+/// Dispatches one batch op to the scheme's single-op virtuals.
+Status ApplyBatchOp(LabelingScheme* scheme, BatchOp* op) {
+  switch (op->kind) {
+    case BatchOp::Kind::kInsertElementBefore: {
+      BOXES_ASSIGN_OR_RETURN(op->result,
+                             scheme->InsertElementBefore(op->anchor));
+      return Status::OK();
+    }
+    case BatchOp::Kind::kInsertFirstElement: {
+      BOXES_ASSIGN_OR_RETURN(op->result, scheme->InsertFirstElement());
+      return Status::OK();
+    }
+    case BatchOp::Kind::kDelete:
+      return scheme->Delete(op->anchor);
+    case BatchOp::Kind::kInsertSubtreeBefore:
+      if (op->subtree == nullptr) {
+        return Status::InvalidArgument(
+            "kInsertSubtreeBefore op carries no document");
+      }
+      return scheme->InsertSubtreeBefore(op->anchor, *op->subtree,
+                                         op->subtree_lids);
+    case BatchOp::Kind::kDeleteSubtree:
+      return scheme->DeleteSubtree(op->anchor, op->anchor_end);
+  }
+  return Status::InvalidArgument("unknown batch op kind");
 }
 
 }  // namespace
@@ -98,95 +123,10 @@ Status LabelingScheme::Restore(PageId /*checkpoint_head*/) {
 
 uint64_t LabelingScheme::BatchLocalityKey(const BatchOp& /*op*/) { return 0; }
 
-namespace {
-
-/// Subtree ops touch label *ranges* (containment the per-LID key cannot
-/// express), and bootstrap inserts must stay first; none of them may move
-/// relative to surrounding ops.
-bool IsBatchBarrier(const BatchOp& op) {
-  return op.kind == BatchOp::Kind::kInsertSubtreeBefore ||
-         op.kind == BatchOp::Kind::kDeleteSubtree ||
-         op.kind == BatchOp::Kind::kInsertFirstElement;
-}
-
-}  // namespace
-
-void LabelingScheme::SortBatchByLocality(std::vector<BatchOp>* ops,
-                                         BatchStats* stats) {
-  // Keys are computed once, up front, against one consistent pre-batch
-  // state: the key is a pure function of the anchor LID, so two ops on the
-  // same anchor always get equal keys and the stable sort keeps their
-  // enqueue order — the property that makes reordering semantics-free.
-  std::vector<uint64_t> keys(ops->size(), 0);
-  for (size_t i = 0; i < ops->size(); ++i) {
-    const BatchOp& op = (*ops)[i];
-    if (!IsBatchBarrier(op)) {
-      keys[i] = BatchLocalityKey(op);
-    }
-  }
-  size_t run_start = 0;
-  std::vector<size_t> order;
-  for (size_t i = 0; i <= ops->size(); ++i) {
-    if (i < ops->size() && !IsBatchBarrier((*ops)[i])) {
-      continue;
-    }
-    // Sort the barrier-free run [run_start, i).
-    if (i > run_start + 1) {
-      order.resize(i - run_start);
-      std::iota(order.begin(), order.end(), run_start);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](size_t a, size_t b) { return keys[a] < keys[b]; });
-      std::vector<BatchOp> sorted;
-      sorted.reserve(order.size());
-      for (size_t j = 0; j < order.size(); ++j) {
-        if (stats != nullptr && order[j] != run_start + j) {
-          ++stats->reordered;
-        }
-        sorted.push_back(std::move((*ops)[order[j]]));
-      }
-      std::move(sorted.begin(), sorted.end(), ops->begin() + run_start);
-    }
-    run_start = i + 1;
-  }
-}
-
-Status LabelingScheme::ApplyBatchOp(BatchOp* op) {
-  switch (op->kind) {
-    case BatchOp::Kind::kInsertElementBefore: {
-      BOXES_ASSIGN_OR_RETURN(op->result, InsertElementBefore(op->anchor));
-      return Status::OK();
-    }
-    case BatchOp::Kind::kInsertFirstElement: {
-      BOXES_ASSIGN_OR_RETURN(op->result, InsertFirstElement());
-      return Status::OK();
-    }
-    case BatchOp::Kind::kDelete:
-      return Delete(op->anchor);
-    case BatchOp::Kind::kInsertSubtreeBefore:
-      if (op->subtree == nullptr) {
-        return Status::InvalidArgument(
-            "kInsertSubtreeBefore op carries no document");
-      }
-      return InsertSubtreeBefore(op->anchor, *op->subtree, op->subtree_lids);
-    case BatchOp::Kind::kDeleteSubtree:
-      return DeleteSubtree(op->anchor, op->anchor_end);
-  }
-  return Status::InvalidArgument("unknown batch op kind");
-}
-
 Status LabelingScheme::ApplyBatch(std::vector<BatchOp>* ops,
-                                  BatchStats* stats) {
-  SortBatchByLocality(ops, stats);
-  return ReplayBatch(ops, stats);
-}
-
-Status LabelingScheme::ReplayBatch(std::vector<BatchOp>* ops,
-                                   BatchStats* stats) {
+                                  BatchStats* /*stats*/) {
   for (BatchOp& op : *ops) {
-    BOXES_RETURN_IF_ERROR(ApplyBatchOp(&op));
-    if (stats != nullptr) {
-      ++stats->applied;
-    }
+    BOXES_RETURN_IF_ERROR(ApplyBatchOp(this, &op));
   }
   return Status::OK();
 }

@@ -96,20 +96,19 @@ struct BatchOp {
   /// ElementId); not owned, must outlive the batch.
   std::vector<NewElement>* subtree_lids = nullptr;
 
-  /// Opaque caller cookie. ApplyBatch never reads it, but the locality sort
-  /// moves it with the op, so callers that correlate ops with out-of-band
-  /// state (the UpdateBuffer's result tickets) must read it back from the
-  /// post-sort op rather than rely on enqueue positions.
+  /// Opaque caller cookie. ApplyBatch never reads it, but UpdateBuffer's
+  /// locality sort moves it with the op, so callers that correlate ops with
+  /// out-of-band state (the UpdateBuffer's result tickets) must read it
+  /// back from the post-sort op rather than rely on enqueue positions.
   uint64_t user_tag = 0;
 
   /// Filled by ApplyBatch for the insert kinds.
   NewElement result;
 };
 
-/// Per-batch accounting filled by ApplyBatch.
+/// Per-batch accounting filled by UpdateBuffer's locality sort and by
+/// ApplyBatch.
 struct BatchStats {
-  /// Ops applied (== the batch size on success).
-  uint64_t applied = 0;
   /// Ops the locality sort moved away from their enqueue position.
   uint64_t reordered = 0;
   /// Scheme-specific: relabel passes that would have fired op-by-op but
@@ -170,40 +169,29 @@ class LabelingScheme : public ReadOnlyLabeling {
   /// B-BOX override this with their bulk algorithms.
   virtual Status DeleteSubtree(Lid root_start, Lid root_end);
 
-  /// Applies a whole batch of buffered mutations. The default driver sorts
-  /// the batch into label-locality order — a stable sort on
-  /// BatchLocalityKey within runs of element-granularity ops; subtree ops
-  /// and bootstrap inserts are barriers that never move — and then applies
-  /// op-at-a-time through the virtuals above. Results land in each op's
-  /// `result` / `subtree_lids`; the batch stops at the first error (ops
-  /// already applied stay applied — atomicity against readers comes from
-  /// the caller holding one EpochWriteLock around the whole call, and
-  /// durability atomicity from the one checkpoint commit per batch).
-  ///
-  /// The stable sort plus the per-LID key mean ops sharing an anchor are
-  /// never reordered relative to each other, which is what makes batched
-  /// and unbatched application of one history converge to the same tree.
-  /// Schemes override this to add batch-wide optimizations (W-BOX defers
+  /// Applies a whole batch of buffered mutations op-at-a-time through the
+  /// virtuals above, exactly in the given order. The order is decided once,
+  /// by UpdateBuffer (a locality sort on BatchLocalityKey), before the batch
+  /// is logged; WAL recovery and standbys hand the logged order to this
+  /// same function, so a replayed batch assigns the LIDs the live one
+  /// acknowledged. Results land in each op's `result` / `subtree_lids`; the
+  /// batch stops at the first error (ops already applied stay applied —
+  /// atomicity against readers comes from the caller holding one
+  /// EpochWriteLock around the whole call, and durability atomicity from
+  /// the one checkpoint commit per batch). Schemes override this to add
+  /// batch-wide optimizations that do not depend on op order (W-BOX defers
   /// its global-rebuild check to the end of the batch; naive-k coalesces
   /// the batch's relabel passes into one preemptive RelabelAll).
   virtual Status ApplyBatch(std::vector<BatchOp>* ops, BatchStats* stats);
 
-  /// ApplyBatch minus the locality sort: applies `ops` exactly in the
-  /// given order. This is the op-log replay hook — WAL records are written
-  /// in post-sort apply order, and recovery must reproduce that order
-  /// bit-for-bit (re-sorting at replay would key on page ids that differ
-  /// after a crash, permuting the batch and handing out different LIDs
-  /// than the pre-crash run acknowledged). Scheme batch-wide optimizations
-  /// live here, not in ApplyBatch, so replayed batches get the identical
-  /// treatment (W-BOX's deferred rebuild check, naive-k's preemptive
-  /// relabel coalescing — both are order-insensitive, so the sorted live
-  /// path and the pre-sorted replay path stay state-equivalent).
-  virtual Status ReplayBatch(std::vector<BatchOp>* ops, BatchStats* stats);
-
-  /// The locality sort on its own (see ApplyBatch): public so the write
-  /// pipeline can fix the apply order *before* logging the batch, then let
-  /// ApplyBatch's second (stable, equal-keyed) sort act as the identity.
-  void SortBatchByLocality(std::vector<BatchOp>* ops, BatchStats* stats);
+  /// Locality key of one batch op for UpdateBuffer's batch sort: ops with
+  /// smaller keys apply first within their run. The key must depend only on
+  /// the op's anchor LID (equal anchors => equal keys), so the stable sort
+  /// preserves enqueue order among same-anchor ops. The default (0) keeps
+  /// the whole batch in enqueue order; W-BOX/B-BOX key by the BOX block the
+  /// anchor's record lives in, naive-k by the anchor's LIDF page. A wrapper
+  /// whose ApplyBatch forwards to another scheme forwards this key too.
+  virtual uint64_t BatchLocalityKey(const BatchOp& op);
 
   /// The scheme's LIDF, or nullptr for schemes that do not maintain one.
   /// Lets generic code (the default DeleteSubtree, the batch drivers)
@@ -238,7 +226,13 @@ class LabelingScheme : public ReadOnlyLabeling {
   EpochGuard& epoch_guard() { return epoch_guard_; }
 
   /// Attaches (or detaches, with nullptr) the caching/logging observer.
-  void SetUpdateListener(UpdateListener* listener) { listener_ = listener; }
+  /// The slot holds one observer: claiming it while a different one holds
+  /// it would leave that one serving stale labels, so it fails a check.
+  void SetUpdateListener(UpdateListener* listener) {
+    BOXES_CHECK(listener == nullptr || listener_ == nullptr ||
+                listener_ == listener);
+    listener_ = listener;
+  }
   UpdateListener* update_listener() const { return listener_; }
 
   /// Attaches (or detaches, with nullptr) a metrics registry. When set, the
@@ -248,18 +242,6 @@ class LabelingScheme : public ReadOnlyLabeling {
   MetricsRegistry* metrics() const { return metrics_; }
 
  protected:
-  /// Locality key of one batch op for the batch sort: ops with smaller
-  /// keys apply first within their run. The key must depend only on the
-  /// op's anchor LID (equal anchors => equal keys), so the stable sort
-  /// preserves enqueue order among same-anchor ops. The default (0) keeps
-  /// the whole batch in enqueue order; W-BOX/B-BOX key by the BOX block
-  /// the anchor's record lives in, naive-k by the anchor's LIDF page.
-  virtual uint64_t BatchLocalityKey(const BatchOp& op);
-
-  /// Dispatches one batch op to the virtuals; the unit step of the default
-  /// ReplayBatch, reusable by scheme overrides.
-  Status ApplyBatchOp(BatchOp* op);
-
   UpdateListener* listener_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
 

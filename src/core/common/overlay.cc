@@ -172,8 +172,13 @@ Status OverlayedScheme::DeleteSubtree(Lid root_start, Lid root_end) {
   return Status::OK();
 }
 
-void OverlayedScheme::HarvestBatch(const std::vector<BatchOp>& ops) {
-  for (const BatchOp& op : ops) {
+Status OverlayedScheme::ApplyBatch(std::vector<BatchOp>* ops,
+                                   BatchStats* stats) {
+  // Forward whole batches so the authority's batch-wide optimizations
+  // (W-BOX's deferred rebuild check, naive-k's relabel coalescing) engage;
+  // deltas are harvested from the completed ops' results.
+  const Status status = authority_->ApplyBatch(ops, stats);
+  for (const BatchOp& op : *ops) {
     switch (op.kind) {
       case BatchOp::Kind::kInsertElementBefore:
       case BatchOp::Kind::kInsertFirstElement:
@@ -198,22 +203,6 @@ void OverlayedScheme::HarvestBatch(const std::vector<BatchOp>& ops) {
         break;
     }
   }
-}
-
-Status OverlayedScheme::ApplyBatch(std::vector<BatchOp>* ops,
-                                   BatchStats* stats) {
-  // Forward whole batches so the authority's batch-wide optimizations
-  // (W-BOX's deferred rebuild check, naive-k's relabel coalescing) engage;
-  // deltas are harvested from the completed ops' results.
-  const Status status = authority_->ApplyBatch(ops, stats);
-  HarvestBatch(*ops);
-  return status;
-}
-
-Status OverlayedScheme::ReplayBatch(std::vector<BatchOp>* ops,
-                                    BatchStats* stats) {
-  const Status status = authority_->ReplayBatch(ops, stats);
-  HarvestBatch(*ops);
   return status;
 }
 

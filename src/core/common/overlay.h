@@ -90,7 +90,10 @@ class OverlayedScheme : public LabelingScheme, private UpdateListener {
                              std::vector<NewElement>* lids_out) override;
   Status DeleteSubtree(Lid root_start, Lid root_end) override;
   Status ApplyBatch(std::vector<BatchOp>* ops, BatchStats* stats) override;
-  Status ReplayBatch(std::vector<BatchOp>* ops, BatchStats* stats) override;
+  /// The authority applies the ops, so the batch sorts on its key.
+  uint64_t BatchLocalityKey(const BatchOp& op) override {
+    return authority_->BatchLocalityKey(op);
+  }
   Lidf* lidf() override { return authority_->lidf(); }
   StatusOr<PageId> Checkpoint() override { return authority_->Checkpoint(); }
   Status Restore(PageId checkpoint_head) override;
@@ -145,8 +148,6 @@ class OverlayedScheme : public LabelingScheme, private UpdateListener {
   /// an unenumerated LID set): every lookup routes to the authority until
   /// a compile at or after this point.
   void MarkUnbounded();
-  /// Harvests delta records out of a completed batch.
-  void HarvestBatch(const std::vector<BatchOp>& ops);
 
   LabelingScheme* const authority_;  // borrowed
   const OverlayOptions options_;

@@ -1,13 +1,70 @@
 #include "core/common/update_buffer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <utility>
 
 #include "core/common/epoch_guard.h"
 #include "util/metrics.h"
 
 namespace boxes {
+
+namespace {
+
+/// Subtree ops touch label *ranges* (containment the per-LID key cannot
+/// express), and bootstrap inserts must stay first; none of them may move
+/// relative to surrounding ops.
+bool IsBatchBarrier(const BatchOp& op) {
+  return op.kind == BatchOp::Kind::kInsertSubtreeBefore ||
+         op.kind == BatchOp::Kind::kDeleteSubtree ||
+         op.kind == BatchOp::Kind::kInsertFirstElement;
+}
+
+/// Stable-sorts each barrier-free run of `ops` on `scheme`'s
+/// BatchLocalityKey; barriers never move.
+void SortBatchByLocality(LabelingScheme* scheme, std::vector<BatchOp>* ops,
+                         BatchStats* stats) {
+  // Keys are computed once, up front, against one consistent pre-batch
+  // state: the key is a pure function of the anchor LID, so two ops on the
+  // same anchor always get equal keys and the stable sort keeps their
+  // enqueue order — the property that makes reordering semantics-free, and
+  // batched and unbatched application of one history converge.
+  std::vector<uint64_t> keys(ops->size(), 0);
+  for (size_t i = 0; i < ops->size(); ++i) {
+    const BatchOp& op = (*ops)[i];
+    if (!IsBatchBarrier(op)) {
+      keys[i] = scheme->BatchLocalityKey(op);
+    }
+  }
+  size_t run_start = 0;
+  std::vector<size_t> order;
+  for (size_t i = 0; i <= ops->size(); ++i) {
+    if (i < ops->size() && !IsBatchBarrier((*ops)[i])) {
+      continue;
+    }
+    // Sort the barrier-free run [run_start, i).
+    if (i > run_start + 1) {
+      order.resize(i - run_start);
+      std::iota(order.begin(), order.end(), run_start);
+      std::stable_sort(order.begin(), order.end(),
+                       [&](size_t a, size_t b) { return keys[a] < keys[b]; });
+      std::vector<BatchOp> sorted;
+      sorted.reserve(order.size());
+      for (size_t j = 0; j < order.size(); ++j) {
+        if (order[j] != run_start + j) {
+          ++stats->reordered;
+        }
+        sorted.push_back(std::move((*ops)[order[j]]));
+      }
+      std::move(sorted.begin(), sorted.end(), ops->begin() + run_start);
+    }
+    run_start = i + 1;
+  }
+}
+
+}  // namespace
 
 UpdateBuffer::UpdateBuffer(LabelingScheme* scheme,
                            UpdateBufferOptions options)
@@ -35,7 +92,7 @@ UpdateBuffer::~UpdateBuffer() {
 StatusOr<UpdateBuffer::Ticket> UpdateBuffer::Enqueue(BatchOp op) {
   const Ticket ticket = results_.size();
   results_.push_back(NewElement{});
-  // The ticket rides inside the op: ApplyBatch's locality sort permutes the
+  // The ticket rides inside the op: Flush's locality sort permutes the
   // batch, so positions in pending_ mean nothing after Flush — only the
   // user_tag read back from each post-sort op pairs results with tickets.
   op.user_tag = ticket;
@@ -103,16 +160,17 @@ Status UpdateBuffer::Flush() {
   MetricsRegistry* metrics = scheme_->metrics();
   const uint64_t syncs_before =
       metrics != nullptr ? metrics->CounterValue("file_store.sync_calls") : 0;
+  // The apply order is decided here, once: ApplyBatch applies ops exactly
+  // as given, so the order logged below is the order applied, and the
+  // order recovery and standbys replay.
   BatchStats stats;
+  SortBatchByLocality(scheme_, &pending_, &stats);
   if (durability_hook_) {
-    // Fix the apply order now (ApplyBatch's own stable sort then acts as
-    // the identity: same keys, already in order) and log it. Only after
-    // the log is durable may the batch touch the structure — that is what
-    // turns "Flush returned OK" into "these ops survive any crash". On
-    // error everything stays pending and unacknowledged; Flush may be
-    // retried once the fault clears (replay dedupes by batch id, so a
-    // batch logged twice by such a retry applies once).
-    scheme_->SortBatchByLocality(&pending_, &stats);
+    // Only after the log is durable may the batch touch the structure —
+    // that is what turns "Flush returned OK" into "these ops survive any
+    // crash". On error everything stays pending and unacknowledged; Flush
+    // may be retried once the fault clears (replay dedupes by batch id, so
+    // a batch logged twice by such a retry applies once).
     BOXES_RETURN_IF_ERROR(durability_hook_(pending_));
   }
   Status status;

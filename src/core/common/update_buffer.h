@@ -30,8 +30,10 @@ struct UpdateBufferOptions {
 ///   * one EpochGuard write epoch for the whole batch, so concurrent
 ///     readers observe either the pre-batch or the post-batch state and
 ///     never a half-applied one;
-///   * one locality-sorted ApplyBatch call, letting schemes reorder ops to
-///     revisit hot blocks and coalesce relabel passes;
+///   * one locality sort on the scheme's BatchLocalityKey, so ops revisit
+///     hot blocks together — the only place a batch's order is decided —
+///     then one ApplyBatch call in exactly that order, letting schemes
+///     coalesce relabel passes;
 ///   * one group-commit hook invocation — typically Checkpoint +
 ///     CommitCheckpoint — so the fdatasync cost of durability is paid once
 ///     per batch instead of once per op.
@@ -49,8 +51,9 @@ class UpdateBuffer {
   using Ticket = uint64_t;
 
   /// Runs *before* the batch applies, with the batch already in its final
-  /// apply order (the locality sort happens first, so the hook logs the
-  /// exact order recovery will replay). This is the ack ⇒ durable point:
+  /// apply order (the locality sort happens first, and ApplyBatch never
+  /// reorders, so the hook logs the exact order that is applied and that
+  /// recovery will replay). This is the ack ⇒ durable point:
   /// append the batch to the op log and pay its one fdatasync here. On
   /// error the flush aborts with the pending set intact — nothing was
   /// applied, nothing was acknowledged, and the caller may retry Flush()

@@ -150,8 +150,8 @@ Status NaiveScheme::BulkLoad(const xml::Document& doc,
   return Status::OK();
 }
 
-Status NaiveScheme::ReplayBatch(std::vector<BatchOp>* ops,
-                                BatchStats* stats) {
+Status NaiveScheme::ApplyBatch(std::vector<BatchOp>* ops,
+                               BatchStats* stats) {
   // Count the labels headed for the gap before each anchor: an element
   // insert contributes its start and end, a subtree insert two labels per
   // element. `m` labels nesting into one gap can split it up to `m` times,
@@ -191,7 +191,7 @@ Status NaiveScheme::ReplayBatch(std::vector<BatchOp>* ops,
       stats->coalesced_relabels += exhausted_anchors;
     }
   }
-  return LabelingScheme::ReplayBatch(ops, stats);
+  return LabelingScheme::ApplyBatch(ops, stats);
 }
 
 uint64_t NaiveScheme::BatchLocalityKey(const BatchOp& op) {

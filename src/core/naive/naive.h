@@ -58,7 +58,11 @@ class NaiveScheme : public LabelingScheme {
   /// and, if any exist, runs ONE preemptive RelabelAll for the whole batch
   /// instead of letting each exhausted anchor trigger its own full-file
   /// relabel mid-batch (the scheme's dominant cost).
-  Status ReplayBatch(std::vector<BatchOp>* ops, BatchStats* stats) override;
+  Status ApplyBatch(std::vector<BatchOp>* ops, BatchStats* stats) override;
+  /// Batch ops sort by the LIDF page of their anchor — the record file IS
+  /// the structure here, so LIDF-page order is label-locality order up to
+  /// allocation churn.
+  uint64_t BatchLocalityKey(const BatchOp& op) override;
   StatusOr<SchemeStats> GetStats() override;
   Status CheckInvariants() override;
 
@@ -74,12 +78,6 @@ class NaiveScheme : public LabelingScheme {
 
   /// Restores a checkpoint into this freshly constructed instance.
   Status Restore(PageId checkpoint_head) override;
-
- protected:
-  /// Batch ops sort by the LIDF page of their anchor — the record file IS
-  /// the structure here, so LIDF-page order is label-locality order up to
-  /// allocation churn.
-  uint64_t BatchLocalityKey(const BatchOp& op) override;
 
  private:
   struct Record {

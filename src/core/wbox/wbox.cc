@@ -773,9 +773,9 @@ Status WBox::Delete(Lid lid) {
   return MaybeGlobalRebuild();
 }
 
-Status WBox::ReplayBatch(std::vector<BatchOp>* ops, BatchStats* stats) {
+Status WBox::ApplyBatch(std::vector<BatchOp>* ops, BatchStats* stats) {
   defer_rebuild_check_ = true;
-  Status status = LabelingScheme::ReplayBatch(ops, stats);
+  Status status = LabelingScheme::ApplyBatch(ops, stats);
   defer_rebuild_check_ = false;
   if (rebuild_check_pending_) {
     rebuild_check_pending_ = false;

@@ -74,7 +74,10 @@ class WBox : public LabelingScheme {
   /// Batch application with the global-rebuild check deferred to the end
   /// of the batch: a delete-heavy batch checks the tombstone ratio once
   /// instead of per delete, so at most one rebuild serves the whole batch.
-  Status ReplayBatch(std::vector<BatchOp>* ops, BatchStats* stats) override;
+  Status ApplyBatch(std::vector<BatchOp>* ops, BatchStats* stats) override;
+  /// Ops anchored in the same leaf block sort together, so a batch
+  /// revisits each dirtied block once instead of bouncing across the tree.
+  uint64_t BatchLocalityKey(const BatchOp& op) override;
   bool SupportsOrdinal() const override { return options_.maintain_ordinal; }
   StatusOr<uint64_t> OrdinalLookup(Lid lid) override;
   StatusOr<SchemeStats> GetStats() override;
@@ -101,11 +104,6 @@ class WBox : public LabelingScheme {
   uint64_t rebuild_count() const { return rebuild_count_; }
   /// Number of node splits performed so far (for tests/benches).
   uint64_t split_count() const { return split_count_; }
-
- protected:
-  /// Ops anchored in the same leaf block sort together, so a batch
-  /// revisits each dirtied block once instead of bouncing across the tree.
-  uint64_t BatchLocalityKey(const BatchOp& op) override;
 
  private:
   /// One step of a root-to-leaf descent: the internal node and the entry
@@ -281,7 +279,7 @@ class WBox : public LabelingScheme {
   std::unordered_map<Lid, PageId> moved_in_op_;
 
   /// While a batch is applying, Delete records that a rebuild check is due
-  /// instead of running MaybeGlobalRebuild per op; ReplayBatch settles the
+  /// instead of running MaybeGlobalRebuild per op; ApplyBatch settles the
   /// debt once at the end of the batch.
   bool defer_rebuild_check_ = false;
   bool rebuild_check_pending_ = false;

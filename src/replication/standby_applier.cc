@@ -160,7 +160,7 @@ Status StandbyApplier::ApplyFrame(const ShipFrame& frame) {
     // attributed to log replay.
     EpochWriteLock lock(&scheme_->epoch_guard());
     ScopedPhase phase(cache_, IoPhase::kLogReplay);
-    BOXES_RETURN_IF_ERROR(scheme_->ReplayBatch(&ops, &stats));
+    BOXES_RETURN_IF_ERROR(scheme_->ApplyBatch(&ops, &stats));
   }
   ++applied_batches_;
   ++applied_since_checkpoint_;

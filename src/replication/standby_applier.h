@@ -22,9 +22,9 @@ struct StandbyApplierOptions {
 };
 
 /// Standby-side half of WAL shipping (DESIGN.md §4k): drains ShipFrames
-/// off the link and replays them through LabelingScheme::ReplayBatch under
-/// the standby's own EpochGuard. The protocol is pull-shaped reliability
-/// over an unreliable link:
+/// off the link and applies them, in the shipped order, through
+/// LabelingScheme::ApplyBatch under the standby's own EpochGuard. The
+/// protocol is pull-shaped reliability over an unreliable link:
 ///
 ///   * idempotent — a frame below the apply horizon is a duplicate and is
 ///     dropped (batch ids are globally monotonic, so id comparison is a
@@ -37,7 +37,7 @@ struct StandbyApplierOptions {
 ///     is a deposed primary's late ship and is rejected; a higher token
 ///     (the standby missed a promotion) is adopted.
 ///
-/// Apply equals recovery replay exactly: same decode, same ReplayBatch,
+/// Apply equals recovery replay exactly: same decode, same ApplyBatch,
 /// same I/O phase — which is why standby≡primary digest equality is the
 /// correctness bar and not just a heuristic.
 class StandbyApplier {

@@ -320,13 +320,11 @@ Status ReplayScannedWal(PageCache* cache, LabelingScheme* scheme,
 
     BatchStats batch_stats;
     {
-      // Same shape as a live flush: the whole batch is one write epoch.
-      // ReplayBatch, not ApplyBatch — the log holds the post-sort order,
-      // and re-sorting here would key on page ids that differ after the
-      // crash (see LabelingScheme::ReplayBatch).
+      // Same shape as a live flush: the whole batch is one write epoch,
+      // applied in the logged order by the same ApplyBatch.
       EpochWriteLock lock(&scheme->epoch_guard());
       ScopedPhase phase(cache, IoPhase::kLogReplay);
-      BOXES_RETURN_IF_ERROR(scheme->ReplayBatch(&ops, &batch_stats));
+      BOXES_RETURN_IF_ERROR(scheme->ApplyBatch(&ops, &batch_stats));
     }
     ++stats->batches_replayed;
     stats->ops_replayed += ops.size();

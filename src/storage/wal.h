@@ -19,12 +19,13 @@ namespace boxes {
 /// Durable write-ahead op log (DESIGN.md §4i). The log generalizes the
 /// paper's CL-tree modification log into a redo log for every scheme: each
 /// UpdateBuffer flush appends one logical record per BatchOp — in the
-/// batch's final, post-locality-sort apply order — and pays one fdatasync
-/// *before* the batch touches the structure. That one barrier is what
-/// turns "Flush returned OK" into "these ops survive any crash": recovery
-/// restores the last committed checkpoint and replays the logged batches
-/// through LabelingScheme::ReplayBatch, reproducing the exact pre-crash
-/// op order and therefore the exact acknowledged LIDs. The dual-slot
+/// order UpdateBuffer sorted the batch into, which is the order ApplyBatch
+/// applies — and pays one fdatasync *before* the batch touches the
+/// structure. That one barrier is what turns "Flush returned OK" into
+/// "these ops survive any crash": recovery restores the last committed
+/// checkpoint and hands the logged batches to the same
+/// LabelingScheme::ApplyBatch, reproducing the exact pre-crash op order
+/// and therefore the exact acknowledged LIDs. The dual-slot
 /// checkpoint demotes from the unit of durability to a periodic
 /// truncation point for the log.
 ///
@@ -180,10 +181,10 @@ struct WalReplayStats {
 /// registry) use to re-learn what the replayed inserts created.
 using WalReplayObserver = std::function<void(const BatchOp& op)>;
 
-/// Replays a scanned log through scheme->ReplayBatch: batch-atomic (only
-/// complete batches apply), order-preserving (no re-sort — see
-/// LabelingScheme::ReplayBatch), idempotent (duplicate batch ids apply
-/// once), and clean-stopping — an incomplete batch ends the replay with
+/// Replays a scanned log through scheme->ApplyBatch: batch-atomic (only
+/// complete batches apply), order-preserving (ApplyBatch applies the
+/// logged order as given), idempotent (duplicate batch ids apply once),
+/// and clean-stopping — an incomplete batch ends the replay with
 /// Status::OK and stats->torn_tail, never an error, and later batches are
 /// not applied even if complete (they were never acknowledged; applying
 /// across a hole would reorder history). Each batch applies under one

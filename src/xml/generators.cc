@@ -1,6 +1,7 @@
 #include "xml/generators.h"
 
 #include <deque>
+#include <string>
 #include <vector>
 
 namespace boxes::xml {
@@ -30,7 +31,8 @@ Document MakeRandomDocument(uint64_t elements, uint64_t max_depth,
     BOXES_CHECK(!eligible.empty());
     const size_t pick = rng.Uniform(eligible.size());
     const ElementId parent = eligible[pick];
-    const ElementId child = doc.AddChild(parent, "e" + std::to_string(i));
+    const ElementId child =
+        doc.AddChild(parent, std::string("e").append(std::to_string(i)));
     depth.push_back(depth[parent] + 1);
     if (depth[child] < max_depth) {
       eligible.push_back(child);

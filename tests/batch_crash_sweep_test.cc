@@ -58,9 +58,9 @@ struct PlannedOp {
 // Applies one flushed batch to the model state, in enqueue order. Anchors
 // are distinct per batch, so sequential replay reproduces what the
 // (possibly reordered) batch application produced.
-Status ReplayBatch(const UpdateBuffer& buffer,
-                   const std::vector<PlannedOp>& plan,
-                   WorkloadState* state) {
+Status ApplyPlanToModel(const UpdateBuffer& buffer,
+                        const std::vector<PlannedOp>& plan,
+                        WorkloadState* state) {
   for (const PlannedOp& op : plan) {
     if (op.is_delete) {
       auto& order = state->order;
@@ -129,7 +129,7 @@ Status RunBatchedWorkload(PageCache* cache, Scheme* scheme,
   std::vector<PlannedOp> plan;
   auto flush_batch = [&]() -> Status {
     BOXES_RETURN_IF_ERROR(buffer.Flush());
-    BOXES_RETURN_IF_ERROR(ReplayBatch(buffer, plan, &state));
+    BOXES_RETURN_IF_ERROR(ApplyPlanToModel(buffer, plan, &state));
     if (snapshots != nullptr) {
       snapshots->push_back({flush_index, last_commit_writes, state.order});
     }

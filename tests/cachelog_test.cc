@@ -1,9 +1,11 @@
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "core/bbox/bbox.h"
 #include "core/cachelog/caching_store.h"
 #include "core/cachelog/mod_log.h"
+#include "core/common/overlay.h"
 #include "core/naive/naive.h"
 #include "core/wbox/wbox.h"
 #include "gtest/gtest.h"
@@ -209,6 +211,14 @@ struct SchemeFactory {
   std::unique_ptr<LabelingScheme> (*make)(PageCache*);
 };
 
+// gtest prints the parameter after each test name, and gtest_discover_tests
+// copies that text into the ctest name. Print the scheme name: the default
+// byte dump shows the struct's pointers, which change with every build and
+// every run, so ctest names would never stay the same.
+void PrintTo(const SchemeFactory& factory, std::ostream* os) {
+  *os << factory.name;
+}
+
 std::unique_ptr<LabelingScheme> MakeWBox(PageCache* cache) {
   return std::make_unique<WBox>(cache);
 }
@@ -391,6 +401,16 @@ TEST(CachingStoreTest, OrdinalCaching) {
   ASSERT_OK_AND_ASSIGN(const uint64_t direct,
                        wbox.OrdinalLookup(order[300]));
   EXPECT_EQ(ordinal, direct);
+}
+
+// A scheme has one listener slot. A second observer claiming it would
+// silently leave the first serving stale labels, so it must fail loudly.
+TEST(CachingStoreDeathTest, SecondListenerOnOneSchemeFailsLoudly) {
+  TestDb db;
+  WBox wbox(&db.cache);
+  CachingLabelStore store(&wbox, 16);
+  EXPECT_DEATH({ OverlayedScheme overlay(&wbox, OverlayOptions{}); },
+               "BOXES_CHECK");
 }
 
 }  // namespace

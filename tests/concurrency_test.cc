@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -239,6 +240,14 @@ struct SchemeFactory {
   const char* name;
   std::unique_ptr<LabelingScheme> (*make)(PageCache* cache);
 };
+
+// gtest prints the parameter after each test name, and gtest_discover_tests
+// copies that text into the ctest name. Print the scheme name: the default
+// byte dump shows the struct's pointers, which change with every build and
+// every run, so ctest names would never stay the same.
+void PrintTo(const SchemeFactory& factory, std::ostream* os) {
+  *os << factory.name;
+}
 
 std::unique_ptr<LabelingScheme> MakeWbox(PageCache* cache) {
   return std::make_unique<WBox>(cache);

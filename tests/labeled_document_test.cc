@@ -1,6 +1,7 @@
 #include "doc/labeled_document.h"
 
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "core/bbox/bbox.h"
@@ -22,6 +23,14 @@ struct FacadeParam {
   const char* name;
   std::unique_ptr<LabelingScheme> (*make)(PageCache*);
 };
+
+// gtest prints the parameter after each test name, and gtest_discover_tests
+// copies that text into the ctest name. Print the scheme name: the default
+// byte dump shows the struct's pointers, which change with every build and
+// every run, so ctest names would never stay the same.
+void PrintTo(const FacadeParam& param, std::ostream* os) {
+  *os << param.name;
+}
 
 std::unique_ptr<LabelingScheme> MakeWBox(PageCache* cache) {
   WBoxOptions options;

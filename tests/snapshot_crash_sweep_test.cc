@@ -114,12 +114,17 @@ TEST(SnapshotCrashSweepTest, EveryPublishCrashPointServesOldOrNewImage) {
       ASSERT_FALSE(::testing::Test::HasFatalFailure());
     }
 
-    OverlayOptions crash_options;
-    crash_options.snapshot_path = path;
-    crash_options.recompile_fail_after_file_ops = budget;
-    crash_options.recompile_write_chunk_bytes = 4096;
-    OverlayedScheme crashing(&wbox, crash_options);
-    const Status crashed = crashing.Recompile();
+    // The crashing process is gone before the rebooted one attaches its
+    // overlay to the authority (one listener per scheme).
+    Status crashed;
+    {
+      OverlayOptions crash_options;
+      crash_options.snapshot_path = path;
+      crash_options.recompile_fail_after_file_ops = budget;
+      crash_options.recompile_write_chunk_bytes = 4096;
+      OverlayedScheme crashing(&wbox, crash_options);
+      crashed = crashing.Recompile();
+    }
     completed_cleanly = crashed.ok();
 
     // "Reboot": open whatever is on disk, as a fresh process would. It

@@ -132,7 +132,7 @@ TEST(UpdateBufferTest, OneEpochPerFlushedBatch) {
   EXPECT_EQ(scheme.epoch_guard().epoch(), before + 3);
 }
 
-// Regression: ApplyBatch's locality sort permutes the batch in place, so
+// Regression: Flush's locality sort permutes the batch in place, so
 // result tickets must travel with their ops (BatchOp::user_tag) rather
 // than pair positionally. With positional pairing the two results below
 // come back swapped — or, with deletes interleaved, as empty NewElements.

@@ -11,15 +11,22 @@
 // same live count: replay is LID-stable), at or above the last flush whose
 // Flush() call had returned when the crash hit; a torn log tail must end
 // replay cleanly, never fail it and never surface a partial batch.
+//
+// The overlayed variants write through an OverlayedScheme (the serving
+// stack: UpdateBuffer + WalPipeline over the overlay, over the scheme) and
+// recover through the plain scheme, as a restarted process would; the
+// order the overlay's buffer logs must be the order its authority applies.
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/bbox/bbox.h"
+#include "core/common/overlay.h"
 #include "core/common/update_buffer.h"
 #include "core/naive/naive.h"
 #include "core/wbox/wbox.h"
@@ -101,16 +108,23 @@ Status ApplyPlanToModel(const UpdateBuffer& buffer,
 
 // Runs the WAL-attached workload until done or the injected crash fires.
 // On the fault-free run, `snapshots` receives one entry per acknowledged
-// flush, stamped with the write count at acknowledgment time.
+// flush, stamped with the write count at acknowledgment time. With
+// `overlayed`, the pipeline and the buffer take an OverlayedScheme wrapping
+// `scheme` instead of `scheme` itself.
 template <typename Scheme>
 Status RunWalWorkload(PageCache* cache, Scheme* scheme,
                       FaultInjectionPageStore* wrapper,
-                      std::vector<FlushSnapshot>* snapshots) {
+                      std::vector<FlushSnapshot>* snapshots, bool overlayed) {
   BOXES_RETURN_IF_ERROR(InitializeSuperblock(cache));
-  WalPipeline pipeline(cache, scheme,
+  std::optional<OverlayedScheme> overlay;
+  LabelingScheme* writer = scheme;
+  if (overlayed) {
+    writer = &overlay.emplace(scheme, OverlayOptions{});
+  }
+  WalPipeline pipeline(cache, writer,
                        {.checkpoint_interval = kCheckpointInterval});
   BOXES_RETURN_IF_ERROR(pipeline.Init());
-  UpdateBuffer buffer(scheme,
+  UpdateBuffer buffer(writer,
                       {.flush_threshold = kBatch, .auto_flush = false});
   pipeline.Attach(&buffer);
 
@@ -275,7 +289,8 @@ int64_t RecoverCrashedImage(const std::string& path, const Options& options,
 }
 
 template <typename Scheme, typename Options>
-void RunWalCrashSweep(const std::string& tag, const Options& options) {
+void RunWalCrashSweep(const std::string& tag, const Options& options,
+                      bool overlayed = false) {
   std::vector<FlushSnapshot> snapshots;
   uint64_t total_writes = 0;
   {
@@ -285,7 +300,8 @@ void RunWalCrashSweep(const std::string& tag, const Options& options) {
     FaultInjectionPageStore wrapper(&base);
     PageCache cache(&wrapper);
     Scheme scheme(&cache, options);
-    ASSERT_OK(RunWalWorkload(&cache, &scheme, &wrapper, &snapshots));
+    ASSERT_OK(
+        RunWalWorkload(&cache, &scheme, &wrapper, &snapshots, overlayed));
     total_writes = wrapper.writes_committed();
   }
   ASSERT_GE(snapshots.size(), 8u) << "workload must span several flushes";
@@ -306,7 +322,8 @@ void RunWalCrashSweep(const std::string& tag, const Options& options) {
       wrapper.CrashAfterWrites(crash);
       PageCache cache(&wrapper);
       Scheme scheme(&cache, options);
-      const Status run = RunWalWorkload(&cache, &scheme, &wrapper, nullptr);
+      const Status run =
+          RunWalWorkload(&cache, &scheme, &wrapper, nullptr, overlayed);
       ASSERT_FALSE(run.ok()) << "crash point " << crash << " never fired";
       ASSERT_EQ(run.code(), StatusCode::kIoError)
           << "crash point " << crash << ": " << run.ToString();
@@ -353,6 +370,20 @@ TEST(WalCrashSweepTest, BBoxNeverLosesAcknowledgedFlushes) {
 TEST(WalCrashSweepTest, NaiveNeverLosesAcknowledgedFlushes) {
   RunWalCrashSweep<NaiveScheme>(
       "naive", NaiveOptions{.gap_bits = 8, .count_bits = 30});
+}
+
+TEST(WalCrashSweepTest, OverlayedWBoxNeverLosesAcknowledgedFlushes) {
+  RunWalCrashSweep<WBox>("overlay_wbox", WBoxOptions{}, /*overlayed=*/true);
+}
+
+TEST(WalCrashSweepTest, OverlayedBBoxNeverLosesAcknowledgedFlushes) {
+  RunWalCrashSweep<BBox>("overlay_bbox", BBoxOptions{}, /*overlayed=*/true);
+}
+
+TEST(WalCrashSweepTest, OverlayedNaiveNeverLosesAcknowledgedFlushes) {
+  RunWalCrashSweep<NaiveScheme>(
+      "overlay_naive", NaiveOptions{.gap_bits = 8, .count_bits = 30},
+      /*overlayed=*/true);
 }
 
 }  // namespace
