@@ -443,7 +443,7 @@ Status BBox::DeleteSubtree(Lid root_start, Lid root_end) {
     }
     BOXES_RETURN_IF_ERROR(EmitTopmostInvalidation());
     if (options_.ordinal && listener_ != nullptr) {
-      listener_->OnOrdinalShift(anchor_ordinal,
+      listener_->OnOrdinalShift(anchor_ordinal + removed,
                                 -static_cast<int64_t>(removed));
     }
     return Status::OK();
@@ -573,7 +573,9 @@ Status BBox::DeleteSubtree(Lid root_start, Lid root_end) {
   op_reorg_.whole_tree = true;
   BOXES_RETURN_IF_ERROR(EmitTopmostInvalidation());
   if (options_.ordinal && listener_ != nullptr) {
-    listener_->OnOrdinalShift(anchor_ordinal,
+    // The ordinals past the removed ones close the gap, as a single
+    // delete's do.
+    listener_->OnOrdinalShift(anchor_ordinal + removed,
                               -static_cast<int64_t>(removed));
   }
   return Status::OK();

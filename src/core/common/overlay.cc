@@ -9,9 +9,7 @@ namespace boxes {
 
 OverlayedScheme::OverlayedScheme(LabelingScheme* authority,
                                  OverlayOptions options)
-    : authority_(authority),
-      options_(std::move(options)),
-      log_(options_.log_capacity) {
+    : authority_(authority), options_(std::move(options)) {
   authority_->SetUpdateListener(this);
 }
 
@@ -25,21 +23,34 @@ std::string OverlayedScheme::name() const {
   return "silo+" + authority_->name();
 }
 
+// Effects feed the served image's map and, while a compile is in flight,
+// the map pinned at its cut.
 void OverlayedScheme::OnRangeShift(const Label& lo, const Label& hi,
                                    int64_t delta, bool last_component_only) {
-  // The log's Replay applies shifts to the last component, which is the
-  // scalar itself for single-component labels — both shift flavors reduce
-  // to one entry kind here, exactly as in CachingLabelStore.
+  // Both shift flavors change the last component, which is the scalar
+  // itself for single-component labels.
   (void)last_component_only;
-  log_.AppendShift(lo, hi, delta);
+  for (RepairMap* map : {repair_.get(), next_repair_.get()}) {
+    if (map != nullptr) {
+      map->Shift(lo, hi, delta);
+    }
+  }
 }
 
 void OverlayedScheme::OnInvalidateRange(const Label& lo, const Label& hi) {
-  log_.AppendInvalidate(lo, hi);
+  for (RepairMap* map : {repair_.get(), next_repair_.get()}) {
+    if (map != nullptr) {
+      map->Invalidate(lo, hi);
+    }
+  }
 }
 
 void OverlayedScheme::OnOrdinalShift(uint64_t from, int64_t delta) {
-  log_.AppendOrdinalShift(from, delta);
+  for (RepairMap* map : {repair_.get(), next_repair_.get()}) {
+    if (map != nullptr) {
+      map->ShiftOrdinal(from, delta);
+    }
+  }
 }
 
 void OverlayedScheme::RecordDelta(Lid lid) { delta_[lid] = ++delta_clock_; }
@@ -65,16 +76,16 @@ StatusOr<Label> OverlayedScheme::Lookup(Lid lid) {
     const size_t index = reader->FindIndex(lid);
     if (index != SnapshotReader::kNotFound) {
       Label value = reader->LabelAt(index);
-      if (log_.Replay(base_ts_, &value) == ReplayResult::kUsable) {
-        if (log_.now() == base_ts_) {
+      if (repair_->Repair(&value) == ReplayResult::kUsable) {
+        if (repair_->effects() == 0) {
           served_base_.fetch_add(1, std::memory_order_relaxed);
         } else {
           served_repaired_.fetch_add(1, std::memory_order_relaxed);
         }
         return value;
       }
-      // Invalidated range or log-window overflow: the frozen label cannot
-      // be repaired, the live scheme answers.
+      // Invalidated range or repair-window overflow: the frozen label
+      // cannot be repaired, the live scheme answers.
       served_fallback_.fetch_add(1, std::memory_order_relaxed);
       return authority_->Lookup(lid);
     }
@@ -95,8 +106,8 @@ StatusOr<uint64_t> OverlayedScheme::OrdinalLookup(Lid lid) {
     const size_t index = reader->FindIndex(lid);
     if (index != SnapshotReader::kNotFound) {
       uint64_t ordinal = reader->OrdinalAt(index);
-      if (log_.ReplayOrdinal(base_ts_, &ordinal) == ReplayResult::kUsable) {
-        if (log_.now() == base_ts_) {
+      if (repair_->RepairOrdinal(&ordinal) == ReplayResult::kUsable) {
+        if (repair_->effects() == 0) {
           served_base_.fetch_add(1, std::memory_order_relaxed);
         } else {
           served_repaired_.fetch_add(1, std::memory_order_relaxed);
@@ -209,27 +220,27 @@ Status OverlayedScheme::ApplyBatch(std::vector<BatchOp>* ops,
 Status OverlayedScheme::Restore(PageId checkpoint_head) {
   BOXES_RETURN_IF_ERROR(authority_->Restore(checkpoint_head));
   // The restored state is a different history; the served image (if any)
-  // no longer corresponds to it.
+  // and the one being compiled no longer correspond to it.
   reader_.reset();
+  repair_.reset();
+  next_repair_.reset();
   delta_.clear();
-  base_ts_ = 0;
   unbounded_ = false;
   return Status::OK();
 }
 
 Status OverlayedScheme::Recompile() {
+  std::lock_guard<std::mutex> one_at_a_time(recompile_mu_);
   ScopedTimer timer(metrics(), "snapshot.compile_us");
 
   // Phase A — consistent cut under a read ticket: no writer can run, so
-  // the log clock, the delta clock, and every extracted label describe one
-  // committed state.
+  // the delta clock, every extracted label and the repair map pinned here
+  // describe one committed state.
   std::string image;
   std::unique_ptr<SnapshotWriter> writer;
-  uint64_t cut_ts = 0;
   uint64_t cut_clock = 0;
   {
     EpochReadLock lock(&epoch_guard());
-    cut_ts = log_.now();
     cut_clock = delta_clock_;
     SnapshotWriterOptions writer_options;
     writer_options.source_epoch = lock.epoch();
@@ -243,29 +254,41 @@ Status OverlayedScheme::Recompile() {
       return built.status();
     }
     image = std::move(*built);
+    next_repair_ = std::make_unique<RepairMap>(options_.log_capacity);
   }
 
   // Phase B — durable publish, no locks held: mutations may land while the
-  // temp file is written; they stay in the delta map (their delta clock
-  // exceeds the cut) and keep routing to the authority.
+  // temp file is written; they feed both repair maps, stay in the delta map
+  // (their delta clock exceeds the cut) and keep routing to the authority.
+  const auto abandon = [this](Status status) {
+    // Mutations feed next_repair_ under the write lock, so a read ticket
+    // is enough to drop it.
+    EpochReadLock lock(&epoch_guard());
+    next_repair_.reset();
+    swap_failures_.fetch_add(1, std::memory_order_relaxed);
+    return status;
+  };
   Status published = writer->Publish(image, options_.snapshot_path);
   if (!published.ok()) {
-    swap_failures_.fetch_add(1, std::memory_order_relaxed);
-    return published;
+    return abandon(std::move(published));
   }
   StatusOr<std::unique_ptr<SnapshotReader>> fresh =
       SnapshotReader::Open(options_.snapshot_path);
   if (!fresh.ok()) {
-    swap_failures_.fetch_add(1, std::memory_order_relaxed);
-    return fresh.status();
+    return abandon(fresh.status());
   }
 
   // Phase C — swap under the write lock; readers next admitted serve the
   // new image.
   {
     EpochWriteLock lock(&epoch_guard());
+    if (next_repair_ == nullptr) {
+      swap_failures_.fetch_add(1, std::memory_order_relaxed);
+      return Status::FailedPrecondition(
+          "Restore() replaced the history this compile was cut from");
+    }
     reader_ = std::move(*fresh);
-    base_ts_ = cut_ts;
+    repair_ = std::move(next_repair_);
     for (auto it = delta_.begin(); it != delta_.end();) {
       it = it->second <= cut_clock ? delta_.erase(it) : std::next(it);
     }

@@ -4,10 +4,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 
-#include "core/cachelog/mod_log.h"
+#include "core/cachelog/repair_map.h"
 #include "core/common/labeling_scheme.h"
 #include "storage/snapshot.h"
 
@@ -17,10 +18,10 @@ struct OverlayOptions {
   /// Where Recompile() publishes images (temp file + atomic rename live in
   /// the same directory).
   std::string snapshot_path;
-  /// Modification-log window: how many label-changing effects since the
-  /// last compile can be repaired onto frozen snapshot labels before the
-  /// base goes stale wholesale (every serve falls back to the authority
-  /// until the next compile).
+  /// Repair window: how many label-changing effects since the served
+  /// image's cut its repair map folds in before the base goes stale
+  /// wholesale (every serve falls back to the authority until the next
+  /// compile), as the paper's §6 log window does.
   size_t log_capacity = 8192;
   /// Crash-injection hook forwarded to the SnapshotWriter publish path
   /// (see SnapshotWriterOptions::fail_after_file_ops); counts file ops
@@ -34,16 +35,17 @@ struct OverlayOptions {
 /// Serve-path accounting: where each lookup was answered from.
 struct OverlayServeStats {
   uint64_t lookups = 0;
-  /// Served from the mmap image, replay log clean — the zero-I/O path.
+  /// Served from the mmap image, no effect since the cut — the zero-I/O
+  /// path.
   uint64_t served_base = 0;
-  /// Served from the image after the replay log repaired shifts onto the
-  /// frozen label — still zero PageCache traffic.
+  /// Served from the image after the repair map carried the frozen label
+  /// to the present — still zero PageCache traffic.
   uint64_t served_repaired = 0;
   /// Routed to the live authority because the LID was touched since the
   /// compile (delta map hit: insert or tombstone) or absent from the image.
   uint64_t served_overlay = 0;
-  /// Image entry found but unrepairable (invalidated range / log window
-  /// overflow): answered by the authority.
+  /// Image entry found but unrepairable (invalidated or overtaken range,
+  /// repair window overflow): answered by the authority.
   uint64_t served_fallback = 0;
   uint64_t recompiles = 0;
   uint64_t swap_failures = 0;
@@ -58,10 +60,10 @@ struct OverlayServeStats {
 /// touched LIDs in a delta map (inserts route future lookups to the live
 /// scheme; deletes become tombstones so a dead LID can never be served
 /// from the frozen image). The authority's UpdateListener events — the §6
-/// cachelog machinery — feed a ModificationLog, so a lookup that misses
-/// the delta map can serve the frozen label after replaying any range
-/// shifts that occurred since the compile; ranges invalidated beyond
-/// repair fall back to the authority.
+/// cachelog effects — fold into a RepairMap pinned at the image's cut, the
+/// map from labels at the cut to labels now, so a lookup that misses the
+/// delta map serves the frozen label carried to the present by one binary
+/// search; labels in invalidated ranges fall back to the authority.
 ///
 /// Concurrency follows DESIGN.md §4g unchanged, against THIS scheme's
 /// EpochGuard: mutations and Recompile()'s swap run under EpochWriteLock,
@@ -70,7 +72,7 @@ struct OverlayServeStats {
 class OverlayedScheme : public LabelingScheme, private UpdateListener {
  public:
   /// `authority` is borrowed and must outlive this instance; its update
-  /// listener slot is claimed for the overlay's modification log.
+  /// listener slot is claimed for the overlay's repair maps.
   OverlayedScheme(LabelingScheme* authority, OverlayOptions options);
   ~OverlayedScheme() override;
 
@@ -104,16 +106,19 @@ class OverlayedScheme : public LabelingScheme, private UpdateListener {
   /// it durably (temp file, fsync, atomic rename, directory fsync), and
   /// swaps the served reader under an EpochWriteLock. Three phases:
   ///
-  ///   A. under a read ticket: record the log clock + delta clock, then
-  ///      extract every live (lid, label[, ordinal]) — a consistent cut;
+  ///   A. under a read ticket: record the delta clock, extract every live
+  ///      (lid, label[, ordinal]) — a consistent cut — and pin a fresh
+  ///      repair map there;
   ///   B. no locks: serialize, write `<path>.tmp`, fsync, rename, fsync
   ///      the directory, then mmap + validate the published image;
-  ///   C. under the write lock: swap the reader in and prune delta-map
-  ///      entries recorded at or before the cut.
+  ///   C. under the write lock: swap the reader and its repair map in and
+  ///      prune delta-map entries recorded at or before the cut.
   ///
-  /// Concurrent mutations between A and C stay in the delta map (their
-  /// delta clock exceeds the cut), so they keep routing to the authority
-  /// until the *next* compile folds them in. Must not be called while the
+  /// Mutations between A and C feed both repair maps, and they stay in the
+  /// delta map (their delta clock exceeds the cut), so they keep routing to
+  /// the authority until the *next* compile folds them in. Calls run one at
+  /// a time. A Restore() between A and C voids the compile (it returns
+  /// kFailedPrecondition and serves nothing). Must not be called while the
   /// calling thread holds this scheme's read or write lock.
   Status Recompile();
 
@@ -151,14 +156,17 @@ class OverlayedScheme : public LabelingScheme, private UpdateListener {
 
   LabelingScheme* const authority_;  // borrowed
   const OverlayOptions options_;
-  ModificationLog log_;
 
   std::unique_ptr<SnapshotReader> reader_;
-  /// Log clock at the served image's extraction cut: Replay(base_ts_, ..)
-  /// repairs a frozen label to the present.
-  uint64_t base_ts_ = 0;
+  /// Repairs the served image's labels to the present; set iff reader_ is.
+  std::unique_ptr<RepairMap> repair_;
+  /// Pinned at the cut of the compile in flight; becomes repair_ in its
+  /// phase C. Written under a read ticket (phase A, where no mutation can
+  /// run) or the write lock.
+  std::unique_ptr<RepairMap> next_repair_;
+  std::mutex recompile_mu_;
   /// Monotonic mutation counter; orders delta records against compile cuts
-  /// even when a mutation emits no log entries (tombstone deletes).
+  /// even when a mutation emits no repair effect (tombstone deletes).
   uint64_t delta_clock_ = 0;
   /// LID -> delta clock when last touched since the served compile.
   std::unordered_map<Lid, uint64_t> delta_;

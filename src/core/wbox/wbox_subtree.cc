@@ -494,7 +494,10 @@ Status WBox::DeleteSubtree(Lid root_start, Lid root_end) {
   // will be relabeled by the rebuild below.
   EmitInvalidate(l1, UINT64_MAX);
   if (options_.maintain_ordinal) {
-    EmitOrdinalShift(ordinal1, -static_cast<int64_t>(removed_live));
+    // The ordinals past the removed ones close the gap, as a single
+    // delete's do.
+    EmitOrdinalShift(ordinal1 + removed_live,
+                     -static_cast<int64_t>(removed_live));
   }
 
   // Did the whole structure empty out?
